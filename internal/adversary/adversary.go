@@ -81,10 +81,10 @@ func (t *tapEndpoint) Broadcast(payload []byte, ttl int) {
 	t.inner.Broadcast(payload, ttl)
 }
 
-func (t *tapEndpoint) After(d time.Duration, fn func())          { t.inner.After(d, fn) }
-func (t *tapEndpoint) Compute(cost time.Duration, fn func())     { t.inner.Compute(cost, fn) }
-func (t *tapEndpoint) Do(fn func())                              { t.inner.Do(fn) }
-func (t *tapEndpoint) Close() error                              { return t.inner.Close() }
+func (t *tapEndpoint) After(d time.Duration, fn func())      { t.inner.After(d, fn) }
+func (t *tapEndpoint) Compute(cost time.Duration, fn func()) { t.inner.Compute(cost, fn) }
+func (t *tapEndpoint) Do(fn func())                          { t.inner.Do(fn) }
+func (t *tapEndpoint) Close() error                          { return t.inner.Close() }
 func (t *tapEndpoint) Bind(h transport.Handler) {
 	t.inner.Bind(transport.HandlerFunc(func(from transport.Addr, payload []byte) {
 		at := t.inner.Now()

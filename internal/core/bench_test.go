@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"runtime"
 	"testing"
 
 	"argus/internal/attr"
@@ -73,4 +75,56 @@ func BenchmarkWarmHandshake(b *testing.B) {
 	if got := len(subj.Results()); got != b.N+1 {
 		b.Fatalf("completed %d discoveries, want %d", len(subj.Results()), b.N+1)
 	}
+}
+
+// BenchmarkSessionTableBytes reports the live heap an object's session
+// table holds per entry: B/pending for an L2 handshake awaiting QUE2 and
+// B/answered once the handshake is answered, each counting the map slot,
+// the session state, the cached encodings and the expiry. It measures the
+// heap freed when a table of 256 entries expires and its map is replaced,
+// so subject-side state never enters the figure. The two bounds in
+// object.go are sized from these numbers:
+//
+//	go test -run '^$' -bench SessionTableBytes -benchtime 3x ./internal/core
+func BenchmarkSessionTableBytes(b *testing.B) {
+	const n = maxPendingSessions
+	w := newHandWorld(b, adaptiveRetry())
+	w.alice.OnDiscovery = func(Discovery) {}
+	var pending, answered float64
+	for i := 0; i < b.N; i++ {
+		clock := &fakeClockEP{}
+		o, oep := w.objectOn(clock, fmt.Sprintf("dev-%d", i), L2, "device")
+		w.handshake(o, oep) // warm the verify cache and codec pools
+
+		// release frees both tables and runs every expiry, returning the
+		// live heap left.
+		release := func() float64 {
+			o.sessions = make(map[sessionKey]*objSession)
+			o.answered = make(map[sessionKey]answeredSession)
+			clock.advanceTo(clock.now + w.retry.ttl())
+			return float64(liveHeap())
+		}
+		release()
+		for j := 0; j < n; j++ {
+			rawQUE1(o, oep, "flood")
+		}
+		full := float64(liveHeap())
+		pending += (full - release()) / n
+		for j := 0; j < n; j++ {
+			w.handshake(o, oep)
+		}
+		full = float64(liveHeap())
+		answered += (full - release()) / n
+	}
+	b.ReportMetric(pending/float64(b.N), "B/pending")
+	b.ReportMetric(answered/float64(b.N), "B/answered")
+}
+
+// liveHeap returns the bytes of live heap objects after a full collection.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }

@@ -22,7 +22,13 @@ type Object struct {
 	costs   Costs
 	ep      transport.Endpoint
 
+	// sessions holds the L2/L3 handshakes awaiting QUE2, with everything
+	// QUE2 verification needs. Once the outcome is fixed (RES2 built,
+	// silence remembered, or the L1 RES1 sent) the entry moves to answered,
+	// which keeps only what an idempotent resend needs.
 	sessions map[sessionKey]*objSession
+	answered map[sessionKey]answeredSession
+	gen      uint64              // last session generation handed out
 	seen     map[sessionKey]bool // duplicate-query suppression via R_S (§IV-B)
 	revoked  map[cert.ID]bool
 	retry    RetryPolicy // zero value: one-shot seed behavior (see RetryPolicy)
@@ -32,8 +38,9 @@ type Object struct {
 	// retry.Adaptive is set; nil on the legacy per-session timer path.
 	wheel *timerWheel
 
-	// pendingN mirrors len(sessions) for cross-goroutine reads (core.go
-	// contract); vcache memoizes credential verifications (WithVerifyCache).
+	// pendingN mirrors len(sessions)+len(answered) for cross-goroutine reads
+	// (core.go contract); vcache memoizes credential verifications
+	// (WithVerifyCache).
 	pendingN atomic.Int64
 	vcache   *cert.VerifyCache
 }
@@ -42,26 +49,47 @@ type Object struct {
 // unbounded session table would let any broadcaster exhaust object memory;
 // constrained objects cap pending handshakes and periodically forget old
 // duplicate-detection state.
+//
+// maxPendingSessions is the door: a QUE1 arriving while that many L2/L3
+// handshakes await their QUE2 is refused before any crypto runs. Answered
+// sessions shrink to resend entries (1005 B against 2315 B when they kept
+// the full handshake state; BenchmarkSessionTableBytes measures both), so
+// they get their own, larger bound, sized so a full answered table stays
+// within the memory of 256 full sessions. maxAnsweredSessions caps pending
+// plus answered together: every pending handshake reserves the answered
+// slot its QUE2 will need, so answering never has to evict, and a QUE1
+// arriving at the bound is refused the same way.
 const (
-	maxPendingSessions = 256
-	maxSeenQueries     = 4096
+	maxPendingSessions  = 256
+	maxAnsweredSessions = 576
+	maxSeenQueries      = 4096
 )
 
+// objSession is a Level 2/3 handshake awaiting QUE2.
 type objSession struct {
-	subjAddr transport.Addr
-	rs       []byte
-	ro       []byte
-	kex      *suite.KeyExchange
-	que1Enc  []byte
-	res1Enc  []byte
+	rs      []byte
+	ro      []byte
+	kex     *suite.KeyExchange
+	que1Enc []byte
+	res1Enc []byte // cached RES1 (nil while its compute is queued)
 
-	// Retry-mode state: a duplicate query means the subject lost our answer,
-	// so the cached encoding is resent verbatim — resends must be
-	// byte-identical or MACs over the transcript would break, and re-running
-	// the response path would leak through timing.
-	public   bool   // Level 1 session, cached only for RES1 resends
-	answered bool   // QUE2 consumed; the handshake outcome is fixed
-	res2Enc  []byte // cached RES2 (nil while pending, and for silent answers)
+	gen    uint64      // identity for the expiry callback
+	expiry *wheelEntry // the TTL deadline; adaptive path only
+}
+
+// answeredSession is a session whose outcome is fixed. The object never
+// learns whether the subject received the answer, so it keeps just enough
+// to resend it: a duplicate query means the subject lost our answer, and
+// the cached encoding goes out again verbatim — resends must be
+// byte-identical or MACs over the transcript would break, and re-running
+// the response path would leak through timing. The peer is in the key.
+type answeredSession struct {
+	// resend is the cached RES1 of a Level 1 answer or the RES2 of a secure
+	// one. A nil RES2 is a remembered silence, or a RES2 whose compute is
+	// still queued; either way a duplicate QUE2 gets no answer.
+	resend []byte
+	public bool   // Level 1: resent on duplicate QUE1, never on QUE2
+	gen    uint64 // identity for the expiry callback
 }
 
 // NewObject creates an engine from a backend provision, applying any
@@ -73,6 +101,7 @@ func NewObject(prov *backend.ObjectProvision, version wire.Version, costs Costs,
 		version:  version,
 		costs:    costs,
 		sessions: make(map[sessionKey]*objSession),
+		answered: make(map[sessionKey]answeredSession),
 		seen:     make(map[sessionKey]bool),
 		revoked:  make(map[cert.ID]bool),
 	}
@@ -104,13 +133,17 @@ func (o *Object) Bind(ep transport.Endpoint) {
 	ep.Bind(o)
 }
 
-// PendingSessions returns the number of sessions held (pending + answered).
-// Safe to call from any goroutine (it reads a mirror the event loop
-// maintains).
+// PendingSessions returns the number of sessions held: handshakes awaiting
+// QUE2 plus answered sessions kept for idempotent resends. It reaches zero
+// only once every answered session has aged out, which is what drain
+// barriers wait for. Safe to call from any goroutine (it reads a mirror the
+// event loop maintains).
 func (o *Object) PendingSessions() int { return int(o.pendingN.Load()) }
 
-// syncPending republishes len(sessions) after a mutation; event-loop only.
-func (o *Object) syncPending() { o.pendingN.Store(int64(len(o.sessions))) }
+// syncPending republishes the table sizes after a mutation; event-loop only.
+func (o *Object) syncPending() {
+	o.pendingN.Store(int64(len(o.sessions) + len(o.answered)))
+}
 
 // instrument attaches a metrics registry. Like the subject's, object
 // telemetry is purely observational and preserves fixed-seed runs.
@@ -182,20 +215,31 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 	if o.seen[key] {
 		// A flooded QUE1 arriving via another path is ignored; but under
 		// retry, a duplicate for a session still awaiting its QUE2 means the
-		// subject likely lost our RES1 — resend the cached bytes. A duplicate
-		// whose session already aged out entirely is a restart cue, not a
-		// flood echo: the subject is still rebroadcasting past a full
-		// SessionTTL, so suppressing it would strand the round forever (both
-		// sides expired, nothing left to resend). Clear the dedup mark and
-		// run the full fresh-QUE1 path — the same stance the coarse seen
-		// reset below takes, with QUE2 signature freshness as the real
-		// replay guard. Adaptive-only: the static schedule keeps the seed's
-		// byte-exact suppression behavior.
-		if sess, ok := o.sessions[key]; ok || o.wheel == nil {
+		// subject likely lost our RES1 — resend the cached bytes (a Level 1
+		// answer is resent the same way: the public path has no QUE2 to
+		// drive retransmission). A duplicate whose session already aged out
+		// entirely is a restart cue, not a flood echo: the subject is still
+		// rebroadcasting past a full SessionTTL, so suppressing it would
+		// strand the round forever (both sides expired, nothing left to
+		// resend). Clear the dedup mark and run the full fresh-QUE1 path —
+		// the same stance the coarse seen reset below takes, with QUE2
+		// signature freshness as the real replay guard. Adaptive-only: the
+		// static schedule keeps the seed's byte-exact suppression behavior.
+		sess, pending := o.sessions[key]
+		ans, answered := o.answered[key]
+		if pending || answered || o.wheel == nil {
 			o.tel.que1Result(resultDuplicate)
-			if o.retry.Enabled() && ok && !sess.answered && sess.res1Enc != nil {
+			var resend []byte
+			switch {
+			case !o.retry.Enabled():
+			case pending:
+				resend = sess.res1Enc
+			case ans.public:
+				resend = ans.resend
+			}
+			if resend != nil {
 				o.tel.retransmit(msgRES1)
-				o.ep.Send(from, sess.res1Enc)
+				o.ep.Send(from, resend)
 			}
 			return
 		}
@@ -207,10 +251,16 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		o.seen = make(map[sessionKey]bool)
 	}
 	o.seen[key] = true
-	if len(o.sessions) >= maxPendingSessions {
+	if len(o.sessions) >= maxPendingSessions ||
+		len(o.sessions)+len(o.answered) >= maxAnsweredSessions {
 		o.tel.que1Result(resultRefused)
-		return // refuse new handshakes until pending ones complete
+		return // refuse new handshakes until held ones complete or age out
 	}
+	// A fresh session replaces any older one under the same key (reachable
+	// only after the coarse seen reset).
+	delete(o.answered, key)
+	o.gen++
+	gen := o.gen
 
 	if o.prov.Level == L1 {
 		// Level 1: return the signed profile in plaintext. No
@@ -223,13 +273,10 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 		o.tel.que1Result(resultPublic)
 		enc := res.Encode()
 		if o.retry.Enabled() {
-			// Cache the answer so a duplicate QUE1 can resend it (the
-			// public path has no QUE2 to drive retransmission otherwise).
-			sess := &objSession{subjAddr: from, public: true, res1Enc: enc}
-			o.sessions[key] = sess
+			// Born answered: cache the answer for duplicate-QUE1 resends.
+			o.answered[key] = answeredSession{resend: enc, public: true, gen: gen}
 			o.syncPending()
-			o.scheduleExpiry(key, sess)
-			o.scheduleAnsweredGC(key, sess) // born answered: resend window only
+			o.scheduleGC(key, gen, o.answeredTTL(o.retry.ttl()))
 		}
 		o.ep.Send(from, enc)
 		return
@@ -259,16 +306,16 @@ func (o *Object) handleQUE1(from transport.Addr, m *wire.QUE1, raw []byte) {
 	}
 	res.Sig = sig
 	sess := &objSession{
-		subjAddr: from,
-		rs:       append([]byte(nil), m.RS...),
-		ro:       ro,
-		kex:      kex,
-		que1Enc:  append([]byte(nil), raw...),
+		rs:      append([]byte(nil), m.RS...),
+		ro:      ro,
+		kex:     kex,
+		que1Enc: append([]byte(nil), raw...),
+		gen:     gen,
 	}
 	o.sessions[key] = sess
 	o.syncPending()
 	if o.retry.Enabled() {
-		o.scheduleExpiry(key, sess)
+		sess.expiry = o.scheduleGC(key, gen, o.retry.ttl())
 	}
 
 	cost := o.costs.KexGen + o.costs.Sign
@@ -285,26 +332,27 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 	key := mkSessionKey(from, m.RS)
 	sess, ok := o.sessions[key]
 	if !ok {
-		// No live session for (peer, R_S): a replayed transcript, or a QUE2
-		// retransmission that outlived the session TTL. Silence either way —
-		// answering would confirm the service exists — but count it so replay
-		// storms are visible to the adversary harness.
-		o.tel.que2Result(resultOrphan)
-		return
-	}
-	if o.prov.Level == L1 || sess.public {
-		return
-	}
-	if sess.answered {
+		ans, ok := o.answered[key]
+		if !ok {
+			// No live session for (peer, R_S): a replayed transcript, or a
+			// QUE2 retransmission that outlived the session TTL. Silence
+			// either way — answering would confirm the service exists — but
+			// count it so replay storms are visible to the adversary harness.
+			o.tel.que2Result(resultOrphan)
+			return
+		}
 		// Duplicate QUE2: our RES2 was lost (or is still in flight). The
 		// outcome is already fixed — resend the cached bytes verbatim; a
 		// remembered silence stays silent. Never re-run the response path:
 		// fresh crypto would desync the transcript MACs, and a second
 		// compute charge would be a timing tell.
-		if sess.res2Enc != nil {
+		if !ans.public && ans.resend != nil {
 			o.tel.retransmit(msgRES2)
-			o.ep.Send(from, sess.res2Enc)
+			o.ep.Send(from, ans.resend)
 		}
+		return
+	}
+	if o.prov.Level == L1 {
 		return
 	}
 	if !o.retry.Enabled() {
@@ -426,8 +474,7 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 			if v == nil {
 				ts.Release()
 				o.tel.que2Result(resultSilent)
-				sess.answered = true // remembered silence: duplicates stay silent
-				o.scheduleAnsweredGC(key, sess)
+				o.answer(key, sess) // remembered silence: duplicates stay silent
 				return
 			}
 			kFirst := suite.SessionKey3(k2, v.GroupKey, sess.rs, sess.ro)
@@ -439,9 +486,8 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 		if v == nil {
 			ts.Release()
 			o.tel.que2Result(resultSilent)
-			sess.answered = true // remembered silence: duplicates stay silent
-			o.scheduleAnsweredGC(key, sess)
-			return               // no policy admits this subject: silence, not a hint
+			o.answer(key, sess) // remembered silence: duplicates stay silent
+			return              // no policy admits this subject: silence, not a hint
 		}
 		res = o.buildRES2(ts, m, k2, v.Profile)
 		o.tel.que2Result(resultL2)
@@ -450,53 +496,81 @@ func (o *Object) handleQUE2(from transport.Addr, m *wire.QUE2) {
 	if res == nil {
 		return
 	}
-	sess.answered = true
-	o.scheduleAnsweredGC(key, sess)
+	o.answer(key, sess)
+	gen := sess.gen
 	o.tel.response(cost, len(res.Ciphertext))
 	o.ep.Compute(cost, func() {
 		enc := res.Encode()
-		sess.res2Enc = enc
+		if ans, ok := o.answered[key]; ok && ans.gen == gen {
+			ans.resend = enc
+			o.answered[key] = ans
+		}
 		o.ep.Send(from, enc)
 	})
 }
 
-// scheduleExpiry garbage-collects the session (pending or answered — the
-// object never learns whether the subject received RES2, so answered state
-// can only age out) at SessionTTL. See Subject.scheduleExpiry for the
-// pointer-equality rationale.
-func (o *Object) scheduleExpiry(key sessionKey, sess *objSession) {
-	o.scheduleGC(key, sess, o.retry.ttl())
-}
-
-// scheduleAnsweredGC collects an answered session after half the TTL, on the
-// adaptive path only. An answered session holds no handshake liveness — it
-// exists solely to serve idempotent duplicate resends — so its retention is
-// a resend-service window, not a liveness window. Halving it halves how long
-// the fleet's session tables (and a drain barrier waiting on them) trail the
-// last wave. The full-TTL entry from scheduleExpiry simply no-ops when it
-// finds the session already gone.
-func (o *Object) scheduleAnsweredGC(key sessionKey, sess *objSession) {
-	if o.wheel == nil {
+// answer fixes a pending handshake's outcome: the session leaves the
+// pending table (freeing its door slot) and only resend state stays, under
+// one expiry. The caller fills in the RES2 bytes once they are encoded; a
+// silent outcome leaves them nil. In one-shot mode the first QUE2 already
+// consumed the session and nothing is kept.
+func (o *Object) answer(key sessionKey, sess *objSession) {
+	if !o.retry.Enabled() {
 		return
 	}
-	o.scheduleGC(key, sess, o.retry.ttl()/2)
+	delete(o.sessions, key)
+	o.answered[key] = answeredSession{gen: sess.gen}
+	o.syncPending()
+	if o.wheel != nil {
+		// Replace the full-TTL deadline (and with it the last reference to
+		// the handshake state) by the answered one, never later than the
+		// session's original TTL.
+		o.wheel.cancel(sess.expiry)
+		o.scheduleGC(key, sess.gen, o.answeredTTL(sess.expiry.at-o.ep.Now()))
+	}
+	// Legacy path: the After armed at admission still fires at SessionTTL
+	// and finds the answered entry by its generation.
 }
 
-func (o *Object) scheduleGC(key sessionKey, sess *objSession, ttl time.Duration) {
+// answeredTTL bounds how long an answered session is kept, given the time
+// left on its session TTL. On the adaptive path it is at most half the TTL:
+// an answered session holds no handshake liveness — it exists solely to
+// serve idempotent duplicate resends — so its retention is a resend-service
+// window, not a liveness window, and halving it halves how long the fleet's
+// session tables (and a drain barrier waiting on them) trail the last wave.
+// The legacy path keeps the full TTL.
+func (o *Object) answeredTTL(left time.Duration) time.Duration {
+	if half := o.retry.ttl() / 2; o.wheel != nil && half < left {
+		return half
+	}
+	return left
+}
+
+// scheduleGC garbage-collects session gen under key after ttl, whichever
+// table holds it by then: the object never learns whether the subject
+// received its answer, so answered state can only age out. The generation
+// check makes a stale callback a no-op once the key was reused (see
+// Subject.scheduleExpiry for the same rationale). It returns the wheel
+// entry on the adaptive path and nil on the legacy per-session timer path.
+func (o *Object) scheduleGC(key sessionKey, gen uint64, ttl time.Duration) *wheelEntry {
 	expire := func() {
-		if cur, ok := o.sessions[key]; ok && cur == sess {
+		if cur, ok := o.sessions[key]; ok && cur.gen == gen {
 			delete(o.sessions, key)
-			o.syncPending()
-			o.tel.sessionExpired()
+		} else if ans, ok := o.answered[key]; ok && ans.gen == gen {
+			delete(o.answered, key)
+		} else {
+			return
 		}
+		o.syncPending()
+		o.tel.sessionExpired()
 	}
 	if o.wheel != nil {
 		// One armed timer for the whole session table instead of one per
 		// session. Expiries are never deferred — TTL semantics are exact.
-		o.wheel.schedule(ttl, expire)
-		return
+		return o.wheel.schedule(ttl, expire)
 	}
 	o.ep.After(ttl, expire)
+	return nil
 }
 
 // buildRES2 encrypts the profile variant under the session key and computes

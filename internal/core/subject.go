@@ -91,7 +91,9 @@ type Subject struct {
 	tel *subjectTelemetry
 
 	// OnDiscovery, if set, is invoked for every verified discovery, on the
-	// engine's event loop.
+	// engine's event loop. A hooked subject streams its discoveries: they go
+	// to the hook only and are not also kept for Results, so a long-running
+	// subject holds no per-discovery state. Set it before the first round.
 	OnDiscovery func(Discovery)
 }
 
@@ -187,7 +189,9 @@ func (s *Subject) Refresh(prov *backend.SubjectProvision) {
 }
 
 // Results returns all verified discoveries so far. Safe to call from any
-// goroutine while the engine runs (see the contract in core.go).
+// goroutine while the engine runs (see the contract in core.go). A subject
+// with an OnDiscovery hook streams its discoveries to the hook instead, and
+// its Results stays empty.
 func (s *Subject) Results() []Discovery {
 	s.resMu.Lock()
 	defer s.resMu.Unlock()
@@ -756,10 +760,11 @@ func (s *Subject) handleRES2(from transport.Addr, m *wire.RES2) {
 }
 
 func (s *Subject) record(d Discovery) {
+	if s.OnDiscovery != nil {
+		s.OnDiscovery(d)
+		return
+	}
 	s.resMu.Lock()
 	s.results = append(s.results, d)
 	s.resMu.Unlock()
-	if s.OnDiscovery != nil {
-		s.OnDiscovery(d)
-	}
 }

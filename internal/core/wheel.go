@@ -132,10 +132,10 @@ func (w *timerWheel) pending() int {
 // wheelHeap is a min-heap over deadlines with index maintenance.
 type wheelHeap []*wheelEntry
 
-func (h wheelHeap) Len() int            { return len(h) }
-func (h wheelHeap) Less(i, j int) bool  { return h[i].at < h[j].at }
-func (h wheelHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *wheelHeap) Push(x any)         { e := x.(*wheelEntry); e.index = len(*h); *h = append(*h, e) }
+func (h wheelHeap) Len() int           { return len(h) }
+func (h wheelHeap) Less(i, j int) bool { return h[i].at < h[j].at }
+func (h wheelHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
+func (h *wheelHeap) Push(x any)        { e := x.(*wheelEntry); e.index = len(*h); *h = append(*h, e) }
 func (h *wheelHeap) Pop() any {
 	old := *h
 	n := len(old)

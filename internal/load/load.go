@@ -336,9 +336,10 @@ func (p *Profile) validate() error {
 	default:
 		return fmt.Errorf("load: unknown transport %q", p.Transport)
 	}
-	// An object keeps one session per subject round until SessionTTL; the
-	// engine refuses new handshakes past its session-table cap (256). Bound
-	// the per-object session pressure so refusals — which would surface as
+	// An object keeps one session per subject round until it ages out; the
+	// engine refuses new handshakes past its session-table bounds (256
+	// pending handshakes, 576 held sessions; DESIGN.md §15). Bound the
+	// per-object session pressure so refusals — which would surface as
 	// lost completions — cannot happen by construction.
 	if p.SubjectsPerCell > 64 {
 		return fmt.Errorf("load: SubjectsPerCell %d > 64 would risk the object session-table cap; add cells instead", p.SubjectsPerCell)
@@ -354,6 +355,15 @@ func (p *Profile) validate() error {
 	}
 	if p.Faults.Active() && !p.Retry.Enabled() {
 		return fmt.Errorf("load: fault injection requires an enabled retry policy")
+	}
+	if p.Retry.Enabled() && !p.Retry.Adaptive && p.SLO.MaxWarmRetransmissions >= 0 {
+		// A warm-wave retransmission gate assumes the adaptive wheel, where
+		// a lossless run never retransmits once RTT is sampled. A static
+		// schedule fires whenever scheduling delays a reply past its
+		// timeout, so the gate would hinge on host load. The zero value is
+		// the strictest gate, so a static policy must disable it (-1).
+		return fmt.Errorf("load: MaxWarmRetransmissions %d gates a non-adaptive retry policy; its static timeouts fire under host load (use Adaptive or set -1)",
+			p.SLO.MaxWarmRetransmissions)
 	}
 	for _, l := range p.Levels {
 		if !l.Valid() {

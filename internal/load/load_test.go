@@ -120,6 +120,17 @@ func TestCISoak(t *testing.T) {
 	}
 }
 
+// testAdaptiveRetry is a small-fleet policy on the adaptive wheel: once
+// round trips are sampled, a lossless run never retransmits, which is what a
+// strict warm-wave retransmission gate assumes.
+func testAdaptiveRetry() core.RetryPolicy {
+	return core.RetryPolicy{
+		Que1Retries: 3, Que2Retries: 3,
+		Timeout: 100 * time.Millisecond, Backoff: 2, SessionTTL: time.Second,
+		Adaptive: true,
+	}
+}
+
 // TestChurnDLQRedelivery is the acceptance-criteria churn scenario: a
 // crash-windowed fraction of each cell's objects miss the revocation storm,
 // their notifications park in the per-destination dead-letter queue, and on
@@ -136,10 +147,10 @@ func TestChurnDLQRedelivery(t *testing.T) {
 		Waves:  2, ThinkTime: 10 * time.Millisecond,
 		RevokeFrac: 0.5,  // 2 of 4 subjects per cell
 		CrashFrac:  0.34, // 1 of 3 objects per cell
-		Retry: core.RetryPolicy{
-			Que1Retries: 3, Que2Retries: 3,
-			Timeout: 100 * time.Millisecond, Backoff: 2, SessionTTL: time.Second,
-		},
+		// The zero-valued MaxWarmRetransmissions below is a strict gate, so
+		// the run must be on the adaptive wheel (Profile.validate enforces
+		// it): a static timeout fires whenever host load delays a reply.
+		Retry:        testAdaptiveRetry(),
 		Seed:         5,
 		DrainTimeout: 30 * time.Second,
 		SLO:          SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
@@ -233,11 +244,8 @@ func TestRunLiveObservability(t *testing.T) {
 		Cells:     2, SubjectsPerCell: 2, ObjectsPerCell: 2,
 		Levels: []backend.Level{backend.L1, backend.L2},
 		Waves:  2, ThinkTime: 10 * time.Millisecond,
-		RevokeFrac: 0.5,
-		Retry: core.RetryPolicy{
-			Que1Retries: 3, Que2Retries: 3,
-			Timeout: 100 * time.Millisecond, Backoff: 2, SessionTTL: time.Second,
-		},
+		RevokeFrac:   0.5,
+		Retry:        testAdaptiveRetry(), // the SLO keeps the strict warm gate
 		Seed:         3,
 		DrainTimeout: 30 * time.Second,
 		SLO:          SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
@@ -355,7 +363,8 @@ func TestOpenLoopSmall(t *testing.T) {
 			Timeout: 100 * time.Millisecond, Backoff: 2, SessionTTL: time.Second,
 		},
 		Seed: 42,
-		SLO:  SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1},
+		// A static schedule cannot hold a warm-retransmission gate.
+		SLO:  SLO{P99Ceiling: 8 * time.Second, MaxRetransmissions: -1, MaxWarmRetransmissions: -1},
 		Logf: t.Logf,
 	}
 	rep, err := Run(p)
@@ -632,6 +641,8 @@ func TestProfileValidate(t *testing.T) {
 			p.RevokeFrac, p.AddFrac, p.CrashFrac = 0, 0, 0
 			p.ReplayTargets = 2 // ci-soak cells hold 2 objects, at most 1 secure in cell 0
 		}},
+		{"warm gate on static schedule (zero value)", func(p *Profile) { p.SLO.MaxWarmRetransmissions = 0 }},
+		{"warm gate on static schedule", func(p *Profile) { p.SLO.MaxWarmRetransmissions = 5 }},
 		{"observer with fellow", func(p *Profile) { p.Observer = true }},
 		{"broken scoping with fellow", func(p *Profile) { p.BreakScoping = true }},
 		{"observer without L3 population", func(p *Profile) {
@@ -648,6 +659,18 @@ func TestProfileValidate(t *testing.T) {
 				t.Fatal("want validation error")
 			}
 		})
+	}
+}
+
+// TestWarmGateNeedsAdaptiveRetry: the strict warm-retransmission gate is
+// valid on the adaptive wheel (TestProfileValidate covers the rejections).
+func TestWarmGateNeedsAdaptiveRetry(t *testing.T) {
+	p := Profiles()["ci-soak"]
+	p.Retry = testAdaptiveRetry()
+	p.SLO.MaxWarmRetransmissions = 0
+	pd := p.withDefaults()
+	if err := pd.validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -5,56 +5,6 @@ import (
 	"sync"
 )
 
-// Batched ECDSA verification. Two fleet-scale patterns make individual
-// PublicKey.Verify calls wasteful:
-//
-//  1. Identical verifications: one signed artifact fans out to many
-//     receivers in the same process (a churn notification delivered to γ−1
-//     agents, a rebroadcast answer). Every receiver runs the same scalar
-//     multiplications on the same inputs.
-//  2. Key re-parsing: verifying against a key without a cached stdlib form
-//     re-derives the curve point per call.
-//
-// BatchVerify handles one call with several items (dedup + early abort);
-// VerifyMemo extends the dedup across calls and goroutines, which is what
-// the update fan-out needs.
-
-// VerifyItem is one (key, message, signature) tuple of a batch.
-type VerifyItem struct {
-	Key PublicKey
-	Msg []byte
-	Sig []byte
-}
-
-// BatchVerify reports whether every item in the batch verifies. Exact
-// duplicates (same key bytes, message, signature) are verified once, and the
-// batch aborts on the first failure, so callers should order items
-// cheapest-reject-first when they can. An empty batch verifies trivially.
-//
-// Verification is semantically identical to calling Key.Verify(Msg, Sig) on
-// every item — batching changes cost, never outcome.
-func BatchVerify(items []VerifyItem) bool {
-	switch len(items) {
-	case 0:
-		return true
-	case 1:
-		return items[0].Key.Verify(items[0].Msg, items[0].Sig)
-	}
-	seen := make(map[[32]byte]bool, len(items))
-	for i := range items {
-		it := &items[i]
-		d := verifyDigest(it.Key, it.Msg, it.Sig)
-		if seen[d] {
-			continue
-		}
-		if !it.Key.Verify(it.Msg, it.Sig) {
-			return false
-		}
-		seen[d] = true
-	}
-	return true
-}
-
 // verifyDigest keys a verification by its exact inputs. Length prefixes make
 // the concatenation unambiguous.
 func verifyDigest(key PublicKey, msg, sig []byte) [32]byte {
@@ -111,7 +61,7 @@ func (vm *VerifyMemo) Verify(key PublicKey, msg, sig []byte) bool {
 	if hit {
 		return true
 	}
-	if !BatchVerify([]VerifyItem{{Key: key, Msg: msg, Sig: sig}}) {
+	if !key.Verify(msg, sig) {
 		return false
 	}
 	vm.mu.Lock()

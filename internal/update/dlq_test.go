@@ -21,9 +21,9 @@ type dlqRig struct {
 	reg     *obs.Registry
 	dist    *Distributor
 	sid     cert.ID
-	on, off cert.ID        // object IDs
-	onAg    *Agent         // agent of the always-online object
-	offAg   *Agent         // agent of the offline-able object
+	on, off cert.ID // object IDs
+	onAg    *Agent  // agent of the always-online object
+	offAg   *Agent  // agent of the offline-able object
 	offEP   *netsim.SimEndpoint
 	applied []uint64 // seqs effectuated by the offline-able object, in order
 	kinds   []Kind   // kinds effectuated by the offline-able object, in order
