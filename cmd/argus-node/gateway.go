@@ -8,7 +8,6 @@ import (
 	"argus/internal/backendsvc"
 	"argus/internal/cert"
 	"argus/internal/transport"
-	"argus/internal/transport/transporttest"
 	"argus/internal/update"
 )
 
@@ -152,7 +151,7 @@ loop:
 	// Graceful drain: reattach anything still offline so its backlog
 	// redelivers, then hold the exit until the queues report empty.
 	doReattach()
-	if !transporttest.Poll(10*time.Second, transporttest.DefaultStep, func() bool {
+	if !transport.Poll(10*time.Second, transport.DefaultStep, func() bool {
 		return dist.DLQDepth() == 0
 	}) {
 		op.flush()

@@ -61,7 +61,6 @@ import (
 	"argus/internal/fleetcoord"
 	"argus/internal/suite"
 	"argus/internal/transport"
-	"argus/internal/transport/transporttest"
 	"argus/internal/update"
 	"argus/internal/wire"
 )
@@ -333,8 +332,8 @@ func runSubject(src func() (backend.Service, error), name, listen, peers string,
 		// Poll for this round's results instead of sleeping a fixed
 		// interval: the subject reacts the moment its expectations are met,
 		// and a slow machine just polls into the next round. Step and
-		// tolerance policy live in internal/transport/transporttest.
-		transporttest.Poll(500*time.Millisecond, transporttest.DefaultStep, func() bool {
+		// tolerance policy live in transport.Poll.
+		transport.Poll(500*time.Millisecond, transport.DefaultStep, func() bool {
 			return satisfied(want, bestOf())
 		})
 

@@ -12,10 +12,11 @@ import (
 )
 
 // Batch registration and provisioning. Bootstrapping a §VIII-scale crowd
-// (10³ entities) sequentially is dominated by ECDSA key generation and
-// certificate signing — embarrassingly parallel work. These entry points fan
-// exactly that work across a worker pool while keeping everything observable
-// deterministic:
+// (10³ entities) is per-entity crypto — ECDSA key generation, certificate
+// issuance (one DER build, ~2 signatures and x509's check of the final one;
+// see cert.createSizedCert) and profile signing — embarrassingly parallel
+// work. These entry points fan exactly that work across a worker pool while
+// keeping everything observable deterministic:
 //
 //   - identifiers, certificate serials and churn accounting are assigned
 //     serially in request order before any worker starts;

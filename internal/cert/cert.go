@@ -15,10 +15,13 @@ package cert
 
 import (
 	"bytes"
+	"crypto"
+	"crypto/ecdsa"
 	"crypto/rand"
 	"crypto/sha256"
 	"crypto/x509"
 	"crypto/x509/pkix"
+	"encoding/asn1"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -32,11 +35,10 @@ import (
 )
 
 // maxSigLen returns the DER length of an ECDSA-Sig-Value (SEQUENCE of two
-// INTEGERs) whose r and s both take their maximal encoding. r and s are
-// uniform below the curve order n, so the longest minimal encoding has
-// ceil(bitlen(n)/8) content octets, plus a 0x00 sign octet when bitlen(n) is
-// a multiple of 8 (only then can the top bit be set) — reached with
-// probability ~1/2 per integer either way.
+// INTEGERs) whose r and s both take their maximal encoding: ceil(bitlen(n)/8)
+// content octets, plus a 0x00 sign octet when bitlen(n) is a multiple of 8
+// (only then can the top bit be set). A uniform r reaches it with
+// probability ~1/2; s is steered there by sizedSigner.
 func maxSigLen(s suite.Strength) int {
 	bits := s.Curve().Params().N.BitLen()
 	content := (bits + 7) / 8
@@ -52,30 +54,91 @@ func maxSigLen(s suite.Strength) int {
 	return header + body
 }
 
-// createSizedCert wraps x509.CreateCertificate, re-signing until the DER
-// ECDSA signature takes its maximal — and therefore fixed — length. DER
-// encodes r and s as minimal-length INTEGERs, so a freshly signed
-// certificate's size otherwise varies with the random nonce (±2 B), which
-// would make fixed-seed simulation runs non-reproducible at the byte level:
-// RES1 carries this DER verbatim, and message size drives virtual airtime.
-// Both r and s are maximal with probability 1/4, so this takes 4 signatures
-// on average, at issuance time only.
+// createSizedCert wraps x509.CreateCertificate so that the DER ECDSA
+// signature takes its maximal — and therefore fixed — length. DER encodes r
+// and s as minimal-length INTEGERs, so a freshly signed certificate's size
+// otherwise varies with the random nonce (±2 B), which would make fixed-seed
+// simulation runs non-reproducible at the byte level: RES1 carries this DER
+// verbatim, and message size drives virtual airtime.
+//
+// The pinning happens inside the signer (sizedSigner), so the DER is built
+// once and x509's own check of the final signature runs once: an issuance
+// costs ~2 signatures (a short r, p ≈ 1/2, is re-signed) plus that one
+// verify. The loop is only a backstop for a signer that gave up.
 func createSizedCert(tmpl, parent *x509.Certificate, pub, priv any, s suite.Strength) ([]byte, error) {
-	want := maxSigLen(s)
-	for attempt := 0; attempt < 256; attempt++ {
-		der, err := x509.CreateCertificate(rand.Reader, tmpl, parent, pub, priv)
+	signer, err := newSizedSigner(priv, s)
+	if err != nil {
+		return nil, err
+	}
+	for attempt := 0; attempt < 4; attempt++ {
+		der, err := x509.CreateCertificate(rand.Reader, tmpl, parent, pub, signer)
 		if err != nil {
 			return nil, err
 		}
-		parsed, err := x509.ParseCertificate(der)
-		if err != nil {
-			return nil, err
-		}
-		if len(parsed.Signature) == want {
+		if signer.lastLen == signer.want {
 			return der, nil
 		}
 	}
 	return nil, errors.New("cert: could not produce a fixed-size signature")
+}
+
+// sizedSigner is a crypto.Signer over an admin ECDSA key whose ASN.1
+// signatures are maxSigLen bytes long. (r, s) and (r, n−s) both verify, and
+// the larger of s and n−s is at least n/2, which sits just below a power of
+// two on every supported curve, so it has the maximal encoding except with
+// probability ≈ 2⁻³². Only a short r needs a fresh signature. Not safe for
+// concurrent use: lastLen records the length of the most recent signature.
+type sizedSigner struct {
+	key     *ecdsa.PrivateKey
+	want    int
+	lastLen int
+}
+
+func newSizedSigner(priv any, s suite.Strength) (*sizedSigner, error) {
+	key, ok := priv.(*ecdsa.PrivateKey)
+	if !ok {
+		return nil, fmt.Errorf("cert: admin key is %T, want *ecdsa.PrivateKey", priv)
+	}
+	return &sizedSigner{key: key, want: maxSigLen(s)}, nil
+}
+
+// Public implements crypto.Signer.
+func (g *sizedSigner) Public() crypto.PublicKey { return &g.key.PublicKey }
+
+// Sign implements crypto.Signer: it signs digest, moves s to the upper half
+// of [1, n), and re-signs while the encoding is short of want. After a
+// bounded number of tries it returns the last (valid) signature and leaves
+// the length check to the caller.
+func (g *sizedSigner) Sign(rng io.Reader, digest []byte, _ crypto.SignerOpts) ([]byte, error) {
+	n := g.key.Curve.Params().N
+	var sig []byte
+	for attempt := 0; attempt < 64; attempt++ {
+		raw, err := ecdsa.SignASN1(rng, g.key, digest)
+		if err != nil {
+			return nil, err
+		}
+		if sig, err = upperS(raw, n); err != nil {
+			return nil, err
+		}
+		if len(sig) == g.want {
+			break
+		}
+	}
+	g.lastLen = len(sig)
+	return sig, nil
+}
+
+// upperS rewrites an ASN.1 ECDSA signature (r, s) over a curve of order n
+// as (r, n−s) when n−s is the larger of the two; both verify.
+func upperS(sig []byte, n *big.Int) ([]byte, error) {
+	var rs struct{ R, S *big.Int }
+	if _, err := asn1.Unmarshal(sig, &rs); err != nil {
+		return nil, err
+	}
+	if flipped := new(big.Int).Sub(n, rs.S); flipped.Cmp(rs.S) > 0 {
+		rs.S = flipped
+	}
+	return asn1.Marshal(rs)
 }
 
 // Role distinguishes the two registered entity kinds.

@@ -21,7 +21,7 @@ import (
 	"argus/internal/load"
 	"argus/internal/obs"
 	"argus/internal/suite"
-	"argus/internal/transport/transporttest"
+	"argus/internal/transport"
 )
 
 // Config describes the fleet the coordinator shards out.
@@ -298,7 +298,7 @@ func (p *proc) scan(r io.Reader, logf func(string, ...any)) {
 // await polls until cond holds for every child, failing fast when any child
 // exits before reaching it.
 func (co *Coordinator) await(timeout time.Duration, cond func(*proc) bool, what string) error {
-	ok := transporttest.Poll(timeout, 20*time.Millisecond, func() bool {
+	ok := transport.Poll(timeout, 20*time.Millisecond, func() bool {
 		for _, p := range co.procs {
 			if cond(p) {
 				continue
@@ -387,7 +387,7 @@ func (co *Coordinator) Sweep() error {
 // before-value — or the child exits, which is not an error here: the trial
 // verdict folds the death in as a violation instead.
 func (co *Coordinator) awaitCount(timeout time.Duration, procs []*proc, get func(*proc) int, before map[int]int, what string) error {
-	ok := transporttest.Poll(timeout, 20*time.Millisecond, func() bool {
+	ok := transport.Poll(timeout, 20*time.Millisecond, func() bool {
 		for _, p := range procs {
 			p.mu.Lock()
 			done := get(p) > before[p.index]
@@ -509,7 +509,7 @@ func (co *Coordinator) Close() {
 	for _, p := range co.live() {
 		_, _ = io.WriteString(p.stdin, "quit\n")
 	}
-	done := transporttest.Poll(5*time.Second, 20*time.Millisecond, func() bool {
+	done := transport.Poll(5*time.Second, 20*time.Millisecond, func() bool {
 		return len(co.live()) == 0
 	})
 	if !done {
@@ -526,7 +526,7 @@ func (co *Coordinator) Kill(index int) error {
 	if err := p.cmd.Process.Kill(); err != nil {
 		return err
 	}
-	transporttest.Poll(5*time.Second, 10*time.Millisecond, func() bool {
+	transport.Poll(5*time.Second, 10*time.Millisecond, func() bool {
 		_, _, exited := p.state()
 		return exited
 	})
@@ -539,7 +539,7 @@ func (co *Coordinator) kill() {
 			_ = p.cmd.Process.Kill()
 		}
 	}
-	transporttest.Poll(5*time.Second, 20*time.Millisecond, func() bool {
+	transport.Poll(5*time.Second, 20*time.Millisecond, func() bool {
 		return len(co.live()) == 0
 	})
 }

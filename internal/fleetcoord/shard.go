@@ -41,7 +41,6 @@ import (
 	"argus/internal/core"
 	"argus/internal/obs"
 	"argus/internal/transport"
-	"argus/internal/transport/transporttest"
 	"argus/internal/wire"
 )
 
@@ -265,7 +264,7 @@ func (sh *shard) buildObjects(svc backend.Service) error {
 // file and parses its "cell=<c> idx=<k> addr=<a>" lines.
 func awaitAddrFile(path string, timeout time.Duration) (map[[2]int]string, error) {
 	var blob []byte
-	ok := transporttest.Poll(timeout, 20*time.Millisecond, func() bool {
+	ok := transport.Poll(timeout, 20*time.Millisecond, func() bool {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			return false
@@ -382,7 +381,7 @@ func (sh *shard) sweep() (sessions int64, seconds float64) {
 		sh.arm(s)
 	}
 	target := before + int64(len(sh.subjects))
-	if !transporttest.Poll(30*time.Second, 10*time.Millisecond, func() bool {
+	if !transport.Poll(30*time.Second, 10*time.Millisecond, func() bool {
 		return sh.roundsDone.Load() >= target
 	}) {
 		sh.reap()
@@ -432,7 +431,7 @@ func (sh *shard) openLoop(rate float64, duration time.Duration) {
 	// session expires at the TTL, so the drain deadline only needs to
 	// outlive that before reaping the round as lost.
 	target := sh.roundsArmed.Load()
-	if !transporttest.Poll(shardRetry().SessionTTL+3*time.Second, 10*time.Millisecond, func() bool {
+	if !transport.Poll(shardRetry().SessionTTL+3*time.Second, 10*time.Millisecond, func() bool {
 		return sh.roundsDone.Load() >= target
 	}) {
 		sh.reap()
@@ -464,7 +463,7 @@ func (sh *shard) reap() {
 // round's expiries land in the window that caused them.
 func (sh *shard) quiesce() {
 	ttl := shardRetry().SessionTTL
-	transporttest.Poll(ttl+3*time.Second, 50*time.Millisecond, func() bool {
+	transport.Poll(ttl+3*time.Second, 50*time.Millisecond, func() bool {
 		n := 0
 		for _, s := range sh.subjects {
 			n += s.eng.PendingSessions()

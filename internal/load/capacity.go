@@ -5,14 +5,8 @@ import (
 	"time"
 
 	"argus/internal/obs"
-	"argus/internal/transport/transporttest"
+	"argus/internal/transport"
 )
-
-// waitPoll is deadline polling at the coarse step the fleet-walking
-// predicates want (each pendingSessions call visits every engine).
-func waitPoll(timeout time.Duration, cond func() bool) bool {
-	return transporttest.Poll(timeout, 50*time.Millisecond, cond)
-}
 
 // This file is the saturation-knee finder: a bracket-then-bisect search over
 // the open-loop offered rate (sessions/s) that reports the highest rate the
@@ -335,7 +329,7 @@ func (cs *CapacitySession) warm() error {
 		r.fire(s)
 	}
 	target := r.roundsArmed.Load()
-	if !waitPoll(r.p.DrainTimeout, func() bool { return r.roundsDone.Load() >= target }) {
+	if !transport.Poll(r.p.DrainTimeout, 50*time.Millisecond, func() bool { return r.roundsDone.Load() >= target }) {
 		return fmt.Errorf("warm wave did not complete: %d/%d rounds", r.roundsDone.Load(), target)
 	}
 	cs.WarmSessions = armed
@@ -368,7 +362,8 @@ func (cs *CapacitySession) quiesce() {
 	if ttl <= 0 {
 		ttl = 8 * time.Second
 	}
-	waitPoll(ttl+3*time.Second, func() bool { return cs.r.fleet.pendingSessions() == 0 })
+	// A coarse step: each pendingSessions call visits every engine.
+	transport.Poll(ttl+3*time.Second, 50*time.Millisecond, func() bool { return cs.r.fleet.pendingSessions() == 0 })
 }
 
 // Close tears the fleet down.

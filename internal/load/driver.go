@@ -14,7 +14,7 @@ import (
 	"argus/internal/core"
 	"argus/internal/obs"
 	"argus/internal/suite"
-	"argus/internal/transport/transporttest"
+	"argus/internal/transport"
 )
 
 // peakGauge is an atomic gauge that latches its high-water mark.
@@ -358,7 +358,7 @@ func (r *runner) runClosedLoop() error {
 			r.fire(s)
 		}
 		target := base + int64(len(slots))
-		drained := transporttest.Poll(p.DrainTimeout, transporttest.DefaultStep, func() bool {
+		drained := transport.Poll(p.DrainTimeout, transport.DefaultStep, func() bool {
 			return r.roundsDone.Load() >= target
 		})
 		if !drained {
@@ -468,7 +468,7 @@ func (r *runner) churn() error {
 		parked = r.fleetDLQDepth()
 		evicted := r.snapshotCounter(obs.MUpdateDLQEvictions) - baseEvict
 		wantLive := base + int64(pushed-parked) - evicted
-		ok := transporttest.Poll(p.DrainTimeout, transporttest.DefaultStep, func() bool {
+		ok := transport.Poll(p.DrainTimeout, transport.DefaultStep, func() bool {
 			return r.snapshotCounter(obs.MUpdateApplied) >= wantLive
 		})
 		if !ok {
@@ -488,7 +488,7 @@ func (r *runner) churn() error {
 				}
 			}
 			wantAll := base + int64(pushed) - evicted
-			ok := transporttest.Poll(p.DrainTimeout, transporttest.DefaultStep, func() bool {
+			ok := transport.Poll(p.DrainTimeout, transport.DefaultStep, func() bool {
 				return r.snapshotCounter(obs.MUpdateApplied) >= wantAll && r.fleetDLQDepth() == 0
 			})
 			if !ok {
@@ -670,7 +670,7 @@ func (r *runner) adversaryPhase() error {
 
 	// The personas' last frames (stale and forged QUE2s) are fire-and-forget;
 	// give the fleet time to finish judging them before taking the deltas.
-	transporttest.Poll(p.DrainTimeout, transporttest.DefaultStep, func() bool {
+	transport.Poll(p.DrainTimeout, transport.DefaultStep, func() bool {
 		cur := r.advCountersNow()
 		return cur.orphan-base.orphan >= wantOrphan &&
 			cur.duplicate-base.duplicate >= wantDup &&
@@ -740,7 +740,7 @@ func (r *runner) openLoopAt(rate float64, duration time.Duration) {
 	}
 	// Let the tail of armed rounds complete.
 	target := r.roundsArmed.Load()
-	drained := transporttest.Poll(r.p.DrainTimeout, transporttest.DefaultStep, func() bool {
+	drained := transport.Poll(r.p.DrainTimeout, transport.DefaultStep, func() bool {
 		return r.roundsDone.Load() >= target
 	})
 	if !drained {
@@ -759,7 +759,7 @@ func (r *runner) drainTail() int64 {
 	// The tail is bounded by session-GC timers, not by message flow, so a
 	// coarse poll step suffices; each pendingSessions call walks every engine
 	// in the fleet, which at 10 ms cadence showed up in the CPU profile.
-	ok := transporttest.Poll(ttl+3*time.Second, 50*time.Millisecond, func() bool {
+	ok := transport.Poll(ttl+3*time.Second, 50*time.Millisecond, func() bool {
 		return r.fleet.pendingSessions() == 0
 	})
 	if ok {

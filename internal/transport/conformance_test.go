@@ -107,7 +107,7 @@ func (r *recorder) frames() []frame {
 }
 
 // waitFor pumps settle until cond holds or the deadline passes. Deadline
-// and step policy live in transporttest so every real-clock transport test
+// and step policy live in transport.Poll so every real-clock transport test
 // tolerates slow CI machines the same way.
 func waitFor(t *testing.T, settle func(), cond func() bool, what string) {
 	t.Helper()

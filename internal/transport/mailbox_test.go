@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"argus/internal/transport/transporttest"
 )
 
 // handlerFunc adapts a func to Handler for mailbox-level tests.
@@ -16,7 +14,9 @@ func (f handlerFunc) Handle(from Addr, payload []byte) { f(from, payload) }
 // waitCond polls until cond holds or the deadline passes.
 func waitCond(t *testing.T, cond func() bool, what string) {
 	t.Helper()
-	transporttest.WaitUntil(t, 10*time.Second, cond, what)
+	if !Poll(10*time.Second, DefaultStep, cond) {
+		t.Fatalf("timed out after 10s waiting for %s", what)
+	}
 }
 
 // Control work enqueued while a deep frame backlog drains must jump the
